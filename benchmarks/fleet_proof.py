@@ -91,7 +91,7 @@ def leg_table1(jobs=None):
     return {"wall_s": round(wall_s, 3), "rows": len(rows)}
 
 
-def leg_proof(n_requests, replicas, rate_hz, seed, jobs=None):
+def leg_proof(n_requests, replicas, rate_hz, seed):
     # Serial reference: one engine, the whole trace, request order.
     trace = synthetic_trace(n_requests, seed=seed, rate_hz=rate_hz)
     start = time.perf_counter()
@@ -105,7 +105,7 @@ def leg_proof(n_requests, replicas, rate_hz, seed, jobs=None):
     # Fleet: same trace, N replicas, affinity routing.
     trace = synthetic_trace(n_requests, seed=seed, rate_hz=rate_hz)
     start = time.perf_counter()
-    fleet = FleetEngine(FleetConfig(replicas=replicas, jobs=jobs))
+    fleet = FleetEngine(FleetConfig(replicas=replicas))
     result = fleet.serve_trace(trace)
     fleet_wall_s = time.perf_counter() - start
     fleet_digest = response_digest(result.responses)
@@ -141,12 +141,12 @@ def leg_proof(n_requests, replicas, rate_hz, seed, jobs=None):
     }
 
 
-def leg_overload(n_requests, replicas, rate_hz, seed, jobs=None):
+def leg_overload(n_requests, replicas, rate_hz, seed):
     trace = synthetic_trace(n_requests, seed=seed, rate_hz=rate_hz,
                             deadline_budget_s=5e-3,
                             priority_mix={"critical": 0.05, "standard": 0.75,
                                           "batch": 0.2})
-    fleet = FleetEngine(FleetConfig(replicas=replicas, jobs=jobs))
+    fleet = FleetEngine(FleetConfig(replicas=replicas))
     result = fleet.serve_trace(trace)
     snap = fleet.stats()
     return {
@@ -178,7 +178,7 @@ def main(argv=None):
     parser.add_argument("--overload-rate", type=float, default=500_000.0)
     parser.add_argument("--seed", type=int, default=9)
     parser.add_argument("--jobs", type=int, default=None,
-                        help="fleet fan-out degree (default: REPRO_JOBS)")
+                        help="table1 DSE fan-out degree (default: REPRO_JOBS)")
     parser.add_argument("--skip-table1", action="store_true")
     parser.add_argument("--output", default="BENCH_serve.json")
     args = parser.parse_args(argv)
@@ -193,12 +193,12 @@ def main(argv=None):
     print("leg 2/3: %d-request proof point, %d replicas ..."
           % (args.requests, args.replicas), flush=True)
     doc["legs"]["proof"] = leg_proof(
-        args.requests, args.replicas, args.rate, args.seed, jobs=args.jobs)
+        args.requests, args.replicas, args.rate, args.seed)
     print("leg 3/3: overload at %g req/s ..." % args.overload_rate,
           flush=True)
     doc["legs"]["overload"] = leg_overload(
         args.overload_requests, args.replicas, args.overload_rate,
-        args.seed, jobs=args.jobs)
+        args.seed)
     for leg in doc["legs"].values():
         leg["meta"] = leg_meta()
 

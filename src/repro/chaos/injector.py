@@ -7,9 +7,8 @@ seeded-random replica at install time — and then answers two kinds of
 questions, both deterministically:
 
 * :meth:`replica_directives` — "when replica *r* runs a shard attempt,
-  does anything break?"  The answer is a plain picklable dict shipped
-  inside the worker payload, so the fault fires identically whether the
-  shard runs in-process or in a pool worker.
+  does anything break?"  The answer is a plain dict passed with the
+  shard, so the fault fires identically on every replay.
 * :meth:`take` — "does the next *event* of this kind fault?"  Used by
   the parent-side hooks: shared-cache publishes (``cache-corrupt``),
   shared-cache lookups (``version-skew``), and plan builds
@@ -66,7 +65,7 @@ class FaultInjector:
         self._events: Dict[FaultKind, int] = {}
 
     # ------------------------------------------------------------------
-    # Replica-attempt faults (shipped to the worker as directives)
+    # Replica-attempt faults (passed to the shard as directives)
     # ------------------------------------------------------------------
     def replica_directives(self, replica: int) -> Optional[dict]:
         """Faults for this replica's next shard attempt, or None.

@@ -122,8 +122,7 @@ def _digest(output) -> str:
     return hashlib.blake2b(output.tobytes(), digest_size=8).hexdigest()
 
 
-def _replay(scenario: dict, seed: int, chaotic: bool,
-            jobs=None) -> dict:
+def _replay(scenario: dict, seed: int, chaotic: bool) -> dict:
     """One independent end-to-end run of a scenario; returns its facts.
 
     Fresh fleet, fresh shared cache, fresh injector: nothing carries
@@ -132,7 +131,7 @@ def _replay(scenario: dict, seed: int, chaotic: bool,
     """
     shared = SharedPlanCache()
     config = FleetConfig(
-        replicas=scenario["replicas"], queue_depth=512, jobs=jobs,
+        replicas=scenario["replicas"], queue_depth=512,
         hedge=scenario["hedge"],
         breaker_threshold=scenario["breaker_threshold"])
     if scenario["warm_shared"] != "no":
@@ -224,11 +223,11 @@ def _replay(scenario: dict, seed: int, chaotic: bool,
     }
 
 
-def run_scenario(scenario: dict, seed: int = 1234, jobs=None) -> dict:
+def run_scenario(scenario: dict, seed: int = 1234) -> dict:
     """Run one scenario (baseline + two chaotic runs); verdict dict."""
-    baseline = _replay(scenario, seed, chaotic=False, jobs=jobs)
-    first = _replay(scenario, seed, chaotic=True, jobs=jobs)
-    second = _replay(scenario, seed, chaotic=True, jobs=jobs)
+    baseline = _replay(scenario, seed, chaotic=False)
+    first = _replay(scenario, seed, chaotic=True)
+    second = _replay(scenario, seed, chaotic=True)
 
     # Nothing lost: served + shed covers every offered request.
     lost = first["offered"] - first["served"] - first["shed"]
@@ -284,8 +283,7 @@ def run_scenario(scenario: dict, seed: int = 1234, jobs=None) -> dict:
     }
 
 
-def run_matrix(matrix: str = "ci", seed: int = 1234,
-               jobs=None, log=None) -> dict:
+def run_matrix(matrix: str = "ci", seed: int = 1234, log=None) -> dict:
     """Run a named matrix; the report is the chaos-gate artifact."""
     scenarios = MATRICES.get(matrix)
     if scenarios is None:
@@ -293,7 +291,7 @@ def run_matrix(matrix: str = "ci", seed: int = 1234,
                          % (matrix, ", ".join(sorted(MATRICES))))
     outcomes = []
     for scenario in scenarios:
-        outcome = run_scenario(scenario, seed=seed, jobs=jobs)
+        outcome = run_scenario(scenario, seed=seed)
         if log is not None:
             log("chaos %-26s %s  (served %d/%d, failovers %d)"
                 % (outcome["name"],

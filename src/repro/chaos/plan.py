@@ -76,8 +76,8 @@ class FaultKind(enum.Enum):
     OBS_DROP = "obs-drop"
 
 
-#: Kinds that target one replica's shard attempt (directives ride to
-#: the worker); the rest are event-gated parent-side faults.
+#: Kinds that target one replica's shard attempt (directives ride with
+#: the shard); the rest are event-gated fleet-side faults.
 REPLICA_KINDS = (
     FaultKind.REPLICA_CRASH,
     FaultKind.WORKER_WEDGE,

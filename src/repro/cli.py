@@ -155,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--emit-trace", metavar="PATH",
                        help="write a Chrome trace-event JSON of the serving "
                        "run (load in Perfetto / chrome://tracing)")
-    _add_jobs_flag(serve)
 
     chaos = sub.add_parser(
         "chaos", help="run the canned fault matrix and report recovery "
@@ -173,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "(the CI artifact)")
     chaos.add_argument("--json", action="store_true",
                        help="emit the report as JSON on stdout")
-    _add_jobs_flag(chaos)
 
     obs = sub.add_parser(
         "obs", help="run a pinned workload and dump the telemetry registry")
@@ -191,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the dump to a file instead of stdout")
     obs.add_argument("--emit-trace", metavar="PATH",
                      help="also write the workload's Chrome trace-event JSON")
-    _add_jobs_flag(obs)
 
     backends = sub.add_parser(
         "backends",
@@ -488,7 +485,6 @@ def _cmd_serve(args) -> int:
         engine = ServeEngine(
             arch=arch, deadline_s=args.deadline, max_batch=args.max_batch,
             executor=args.executor, backends=backends,
-            jobs=_resolve_jobs_arg(args),
             registry=obs.reset_registry(), tracer=obs.reset_tracer(),
         )
     except ReproError as exc:
@@ -565,7 +561,6 @@ def _serve_fleet(args, trace) -> int:
             arch=arch, replicas=args.replicas, deadline_s=args.deadline,
             max_batch=args.max_batch, executor=args.executor,
             backends=backends, queue_depth=args.queue_depth,
-            jobs=_resolve_jobs_arg(args),
         )
         fleet = FleetEngine(config, registry=obs.reset_registry(),
                             tracer=obs.reset_tracer(), chaos=args.chaos)
@@ -657,8 +652,7 @@ def _cmd_chaos(args) -> int:
 
     try:
         report = run_matrix(
-            args.matrix, seed=args.seed, jobs=_resolve_jobs_arg(args),
-            log=None if args.json else print)
+            args.matrix, seed=args.seed, log=None if args.json else print)
     except ChaosError as exc:
         print("chaos: %s" % exc, file=sys.stderr)
         return 2
@@ -706,8 +700,7 @@ def _cmd_obs(args) -> int:
             model, arch=arch)
 
     if args.synthetic > 0:
-        engine = ServeEngine(arch=arch, registry=registry, tracer=tracer,
-                             jobs=_resolve_jobs_arg(args))
+        engine = ServeEngine(arch=arch, registry=registry, tracer=tracer)
         engine.serve_trace(synthetic_trace(args.synthetic, seed=args.seed))
 
     if args.fmt == "prometheus":

@@ -85,7 +85,9 @@ class InterpretedGeneralKernel:
                 "%dx%d block exactly" % (oh, ow, cfg.h, cfg.w))
         if f_total % cfg.ftb or c_total % cfg.csh:
             raise ConfigurationError(
-                "the audit kernel needs F %% FTB == 0 and C %% CSH == 0")
+                "the audit kernel needs F %% FTB == 0 and C %% CSH == 0; "
+                "got F=%d, FTB=%d, C=%d, CSH=%d"
+                % (f_total, cfg.ftb, c_total, cfg.csh))
 
         ex = DeviceExecutor(self.arch, self.bank_policy)
         g_img = ex.alloc_global(img, "image")

@@ -9,8 +9,8 @@ per-replica circuit breakers with automatic failover
 (:class:`HealthTracker`), and fleet-wide SLO accounting with
 degradation levels (:class:`FleetStats`).  Replay is deterministic:
 with no shedding, fleet responses are bit-identical to a single engine
-serially serving the same trace, at any ``jobs`` degree — and the
-contract survives injected faults (``FleetEngine(chaos=...)``, see
+serially serving the same trace.  Every replica runs in this process.
+The contract survives injected faults (``FleetEngine(chaos=...)``, see
 docs/RESILIENCE.md): every *served* response under chaos is
 bit-identical to the fault-free replay.
 """

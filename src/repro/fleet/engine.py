@@ -12,12 +12,11 @@ independent :class:`~repro.serve.engine.ServeEngine` instances:
    :class:`~repro.fleet.shared_cache.SharedPlanCache`, and only then
    the design-space explorer.  The winning plans are shipped to the
    replicas so every replica starts hot.
-3. **Replay with failover** — each replica serves its sub-trace through
-   :func:`repro.parallel.parallel_map` (one work item per replica;
-   ``jobs=1`` runs the identical code in-process).  A shard attempt
-   that *fails* — a crashed or wedged replica, a dead pool worker, or
-   an injected fault from an installed :class:`~repro.chaos.injector.
-   FaultInjector` — feeds the replica's circuit breaker
+3. **Replay with failover** — each replica serves its sub-trace
+   in-process, one shard after another.  A shard attempt that *fails*
+   — a crashed or wedged replica injected by an installed
+   :class:`~repro.chaos.injector.FaultInjector` — feeds the replica's
+   circuit breaker
    (:mod:`repro.fleet.health`) and is re-routed whole to a healthy
    survivor, bounded by ``failover_retries`` rounds with exponential
    virtual-clock backoff.  Because every replica builds an identical
@@ -26,7 +25,9 @@ independent :class:`~repro.serve.engine.ServeEngine` instances:
    failover moves work, never changes answers.  Stragglers can be
    hedged (``hedge=True``): a shard whose modeled clock exceeds
    ``hedge_factor`` x the median is speculatively re-dispatched and the
-   faster attempt bounds the makespan.
+   faster attempt bounds the makespan.  An exception raised while
+   serving a shard is a bug, not a modeled fault: it propagates out of
+   :meth:`FleetEngine.serve_trace`.
 4. **Reassemble + account** — responses are stitched back into request
    order by id with an exactly-once guard (a request can never be
    answered twice, and an admitted request that every failover round
@@ -47,7 +48,6 @@ response stays bit-identical to the fault-free replay.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -59,7 +59,9 @@ from repro.obs.exporters import write_chrome_trace
 from repro.obs.metrics import Registry
 from repro.obs.snapshot import merge_registry_snapshot, worker_snapshot
 from repro.obs.tracing import Tracer, VIRTUAL_TRACK
-from repro.parallel import ParallelFailure, parallel_map
+# Not called here: the repository benchmark (perfbench/spans.py) wraps
+# ``repro.fleet.engine.parallel_map`` by name and is its only user.
+from repro.parallel import parallel_map  # noqa: F401
 from repro.serve.dispatch import Dispatcher
 from repro.serve.engine import ServeEngine
 from repro.serve.plan_cache import PlanCache
@@ -130,7 +132,6 @@ class FleetConfig:
     executor: str = "reference"
     backends: Optional[Tuple[str, ...]] = None
     queue_depth: int = 64
-    jobs: Optional[Union[int, str]] = None
     failover_retries: int = 2
     retry_backoff_s: float = 1e-3
     breaker_threshold: int = 3
@@ -210,11 +211,10 @@ class FleetResult:
 
 
 def _serve_replica_shard(payload) -> dict:
-    """Replay one replica's sub-trace; module-level so pools pickle it.
+    """Replay one replica's sub-trace.
 
     Runs against a replica-private registry/tracer and ships both back
-    as a snapshot, so fleet telemetry is complete and identical whether
-    this runs in-process (``jobs=1``) or in a pool worker.
+    as a snapshot, which the fleet merges into its own surfaces.
 
     ``directives`` (from an installed fault injector) simulate this
     attempt's share of the chaos plan: a ``crash`` serves ``after``
@@ -222,8 +222,8 @@ def _serve_replica_shard(payload) -> dict:
     nothing at all (the modeled worker-timeout), ``slow`` inflates the
     reported clock, and ``drop_obs`` loses the telemetry snapshot in
     transit.  Failures come back as *structured outcomes* (a dict with
-    a ``failed`` reason), never exceptions, so the parent's failover
-    loop — not the pool's retry machinery — owns recovery.
+    a ``failed`` reason), never exceptions, so the fleet's failover
+    loop owns recovery.
     """
     replica, engine_kwargs, requests, seeds, directives = payload
     directives = directives or {}
@@ -405,12 +405,6 @@ class FleetEngine:
                 if key not in seen:
                     seen[key] = self.plan_for(request.problem)
             seeds.append(list(seen.items()))
-        try:
-            pickle.dumps(seeds)
-        except Exception:
-            # Unpicklable plans cannot ride to pool workers; replicas
-            # will rebuild them (deterministically identical).
-            seeds = [[] for _ in shards]
 
         # Phase 3: replay with failover (see _replay_with_failover).
         engine_kwargs = self.config.engine_kwargs()
@@ -469,25 +463,14 @@ class FleetEngine:
         makespan = 0.0
         round_no = 0
         while pending:
-            payloads = []
+            failed = []
+            succeeded = []
             for replica, shard, seed in pending:
                 directives = (self.chaos.replica_directives(replica)
                               if self.chaos is not None else None)
-                payloads.append(
+                res = _serve_replica_shard(
                     (replica, engine_kwargs, shard, seed, directives))
-            results = parallel_map(
-                _serve_replica_shard, payloads,
-                jobs=self.config.jobs, merge_obs=False, on_error="return",
-            )
-            failed = []
-            succeeded = []
-            for (replica, shard, seed), res in zip(pending, results):
-                if isinstance(res, ParallelFailure):
-                    reason = "pool"
-                elif res.get("failed"):
-                    reason = res["failed"]
-                else:
-                    reason = None
+                reason = res.get("failed")
                 if reason is not None:
                     self.health.record_failure(replica, reason, now)
                     failed.append((replica, shard, seed, reason))

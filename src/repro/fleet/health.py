@@ -17,7 +17,7 @@ The :class:`HealthTracker` owns one breaker per replica plus the obs
 series operators page on:
 
 * ``fleet_replica_failures_total{replica,reason}`` — every failed
-  shard attempt, by reason (``crash`` / ``wedge`` / ``pool``);
+  shard attempt, by reason (``crash`` / ``wedge``);
 * ``fleet_failovers_total{reason}`` — shards re-routed off a failed or
   breaker-opened replica;
 * ``fleet_breaker_transitions_total{replica,to}`` — breaker state

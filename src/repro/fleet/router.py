@@ -38,7 +38,7 @@ def shape_hash(problem: ConvProblem, salt: str = "") -> int:
 
     Deterministic across processes and Python versions (unlike
     ``hash()`` on anything containing a string), so a trace routes
-    identically in the fleet parent, in pool workers, and in CI.
+    identically in every process, run after run, and in CI.
 
     Generalized axes (stride, dilation, groups, layout) extend the
     hashed blob only when non-default, so every default-axis shape

@@ -584,7 +584,9 @@ class FastGeneralKernel:
                 "%dx%d block exactly" % (oh, ow, cfg.h, cfg.w))
         if f_total % cfg.ftb or c_total % cfg.csh:
             raise ConfigurationError(
-                "the audit kernel needs F %% FTB == 0 and C %% CSH == 0")
+                "the audit kernel needs F %% FTB == 0 and C %% CSH == 0; "
+                "got F=%d, FTB=%d, C=%d, CSH=%d"
+                % (f_total, cfg.ftb, c_total, cfg.csh))
 
         img_h, img_w = problem.height, problem.width
         threads = cfg.threads

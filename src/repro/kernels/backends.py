@@ -81,8 +81,11 @@ class _TunedBackend(ConvBackend):
 
     def configure(self, problem: ConvProblem,
                   arch: GPUArchitecture = KEPLER_K40M) -> Optional[object]:
+        # Per-shape plan-time tuning always runs in-process (jobs=1):
+        # serving never forks, whatever REPRO_JOBS says.  Explicit sweeps
+        # (best_config, reproduce_table1) still fan out through tune().
         try:
-            return self.tune(problem, arch).config
+            return self.tune(problem, arch, jobs=1).config
         except ConfigurationError:
             return None
 

@@ -91,14 +91,14 @@ def _workload_table1(scale: str, jobs=None) -> Dict[str, float]:
     }
 
 
-def _workload_serve(scale: str, jobs=None) -> Dict[str, float]:
+def _workload_serve(scale: str) -> Dict[str, float]:
     from repro.obs.tracing import get_tracer
     from repro.serve import ServeEngine, synthetic_trace
 
     n = _SERVE_REQUESTS[scale]
     trace = synthetic_trace(n, seed=7)
     start = time.perf_counter()
-    engine = ServeEngine(jobs=jobs, tracer=get_tracer())
+    engine = ServeEngine(tracer=get_tracer())
     engine.serve_trace(trace)
     wall_s = time.perf_counter() - start
     snap = engine.stats()
@@ -112,7 +112,7 @@ def _workload_serve(scale: str, jobs=None) -> Dict[str, float]:
     }
 
 
-def _workload_fleet(scale: str, jobs=None) -> Dict[str, float]:
+def _workload_fleet(scale: str) -> Dict[str, float]:
     from repro.fleet import FleetConfig, FleetEngine
     from repro.obs.tracing import get_tracer
     from repro.serve import synthetic_trace
@@ -120,8 +120,7 @@ def _workload_fleet(scale: str, jobs=None) -> Dict[str, float]:
     n = _SERVE_REQUESTS[scale]
     trace = synthetic_trace(n, seed=7)
     start = time.perf_counter()
-    fleet = FleetEngine(FleetConfig(replicas=4, jobs=jobs),
-                        tracer=get_tracer())
+    fleet = FleetEngine(FleetConfig(replicas=4), tracer=get_tracer())
     result = fleet.serve_trace(trace)
     wall_s = time.perf_counter() - start
     snap = fleet.stats()
@@ -136,7 +135,7 @@ def _workload_fleet(scale: str, jobs=None) -> Dict[str, float]:
     }
 
 
-def _workload_simulator(scale: str, jobs=None) -> Dict[str, float]:
+def _workload_simulator(scale: str) -> Dict[str, float]:
     from repro.gpu.arch import KEPLER_K40M
     from repro.gpu.fastsim import FastSpecialKernel
     from repro.gpu.timing import TimingModel
@@ -187,7 +186,9 @@ def run_workload(name: str, scale: str = "ci", jobs=None) -> Dict[str, float]:
             "unknown workload %r; expected one of %s"
             % (name, sorted(WORKLOADS)))
     with instrument("perf.%s" % name, category="perf") as span:
-        metrics = WORKLOADS[name](scale, jobs=jobs)
+        # Only the DSE sweep fans out; the other workloads run in-process.
+        kwargs = {"jobs": jobs} if name == "table1_dse" else {}
+        metrics = WORKLOADS[name](scale, **kwargs)
         span.annotate(scale=scale, **{
             k: v for k, v in metrics.items() if k == "wall_s"})
     return metrics

@@ -2,12 +2,12 @@
 
 Every enumerate-and-evaluate hot path in the repo (design-space
 exploration in :mod:`repro.core.dse`, figure sweeps in
-:mod:`repro.bench`, batch dispatch in :mod:`repro.serve.dispatch`) fans
-out through one primitive, :func:`parallel_map`, which guarantees
-result order and telemetry totals identical to the serial path — see
-docs/PARALLEL.md for the executor semantics and the determinism
-contract, and :mod:`repro.obs.snapshot` for how worker telemetry is
-merged back losslessly.
+:mod:`repro.bench`) fans out through one primitive,
+:func:`parallel_map`, which guarantees result order and telemetry
+totals identical to the serial path — see docs/PARALLEL.md for the
+executor semantics and the determinism contract, and
+:mod:`repro.obs.snapshot` for how worker telemetry is merged back
+losslessly.  Serving does not fan out (docs/PARALLEL.md says why).
 
 Quick start::
 
@@ -22,7 +22,6 @@ from repro.parallel.executor import (
     DEFAULT_RETRIES,
     DEFAULT_TIMEOUT_S,
     JOBS_ENV_VAR,
-    ParallelFailure,
     parallel_map,
     resolve_jobs,
     shard,
@@ -34,7 +33,6 @@ __all__ = [
     "DEFAULT_RETRIES",
     "DEFAULT_TIMEOUT_S",
     "JOBS_ENV_VAR",
-    "ParallelFailure",
     "parallel_map",
     "resolve_jobs",
     "shard",

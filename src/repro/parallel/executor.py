@@ -1,8 +1,9 @@
 """Process-pool work-queue executor with deterministic sharding.
 
 :func:`parallel_map` is the one primitive every sweep-shaped hot path
-in the repo fans out through (DSE candidate ranking, figure sweeps,
-batch dispatch).  Its contract:
+in the repo fans out through (DSE candidate ranking, figure sweeps).
+Serving never calls it: per-request work is far cheaper than a pool
+round-trip (docs/PARALLEL.md).  Its contract:
 
 * **Determinism** — items are split into contiguous shards
   (:func:`shard`), each shard is evaluated in item order, and results
@@ -32,10 +33,6 @@ batch dispatch).  Its contract:
   executor trouble is visible in every stats dump — and because the
   counters live on the ordinary registry, a nested caller's worker
   snapshot carries them up in the standard merge.
-* **Structured failure outcomes** — ``on_error="return"`` converts a
-  per-item exception into a :class:`ParallelFailure` placeholder at
-  that item's position instead of raising, so orchestration layers
-  (the serving fleet's failover loop) can own recovery per item.
 
 Worker pools are cached per job count and reused across calls, so a
 sweep that calls :func:`parallel_map` hundreds of times pays the fork
@@ -48,7 +45,6 @@ import atexit
 import os
 import pickle
 import time
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.errors import ParallelError
@@ -58,26 +54,12 @@ __all__ = [
     "DEFAULT_RETRIES",
     "DEFAULT_BACKOFF_S",
     "JOBS_ENV_VAR",
-    "ParallelFailure",
     "resolve_jobs",
     "shard",
     "parallel_map",
     "shutdown_pools",
 ]
 
-
-@dataclass(frozen=True)
-class ParallelFailure:
-    """Placeholder for one item whose evaluation raised.
-
-    Returned (in the item's position) by ``parallel_map(...,
-    on_error="return")`` so a caller can tell exactly which items
-    failed, with what, without losing the survivors.
-    """
-
-    index: int            # position of the failed item in the input
-    error: str            # str(exception)
-    exc_type: str = "Exception"
 
 #: Environment variable consulted when no explicit job count is given.
 JOBS_ENV_VAR = "REPRO_JOBS"
@@ -167,36 +149,15 @@ def _run_chunk(payload):
     snapshot contains exactly this shard's telemetry — pools are reused
     across calls and must not leak a previous shard's counters.
     """
-    fn, chunk, want_obs = payload
-    if want_obs:
-        from repro.obs.metrics import reset_registry
-        from repro.obs.snapshot import worker_snapshot
-        from repro.obs.tracing import reset_tracer
+    from repro.obs.metrics import reset_registry
+    from repro.obs.snapshot import worker_snapshot
+    from repro.obs.tracing import reset_tracer
 
-        registry = reset_registry()
-        tracer = reset_tracer()
-        results = [fn(item) for item in chunk]
-        return results, worker_snapshot(registry, tracer)
-    return [fn(item) for item in chunk], None
-
-
-def _eval_items(fn, items, on_error: str, base: int = 0) -> list:
-    """In-process evaluation honoring the ``on_error`` policy.
-
-    ``base`` is the global index of ``items[0]`` so a chunk's failures
-    report input positions, not chunk-local ones.
-    """
-    if on_error == "raise":
-        return [fn(item) for item in items]
-    out = []
-    for offset, item in enumerate(items):
-        try:
-            out.append(fn(item))
-        except Exception as exc:
-            out.append(ParallelFailure(
-                index=base + offset, error=str(exc),
-                exc_type=type(exc).__name__))
-    return out
+    fn, chunk = payload
+    registry = reset_registry()
+    tracer = reset_tracer()
+    results = [fn(item) for item in chunk]
+    return results, worker_snapshot(registry, tracer)
 
 
 def _executor_counters():
@@ -282,8 +243,6 @@ def parallel_map(
     timeout_s: float = DEFAULT_TIMEOUT_S,
     retries: int = DEFAULT_RETRIES,
     backoff_s: float = DEFAULT_BACKOFF_S,
-    merge_obs: bool = True,
-    on_error: str = "raise",
 ) -> list:
     """``[fn(x) for x in items]``, fanned out over a process pool.
 
@@ -293,9 +252,7 @@ def parallel_map(
     Worker exceptions are retried per shard and, after ``retries``
     re-submissions, re-raised from an in-process serial evaluation of
     that shard — so a deterministic error in ``fn`` surfaces with its
-    natural traceback no matter the degree.  With ``on_error="return"``
-    they are not re-raised: each failing item yields a
-    :class:`ParallelFailure` in its position instead.
+    natural traceback no matter the degree.
     """
     items = list(items)
     jobs = resolve_jobs(jobs)
@@ -303,36 +260,24 @@ def parallel_map(
         raise ParallelError("retries must be >= 0, got %d" % retries)
     if timeout_s is not None and timeout_s <= 0:
         raise ParallelError("timeout_s must be positive or None")
-    if on_error not in ("raise", "return"):
-        raise ParallelError(
-            "on_error must be 'raise' or 'return', got %r" % (on_error,))
     if jobs <= 1 or len(items) < 2 or _in_worker():
-        return _eval_items(fn, items, on_error)
+        return [fn(item) for item in items]
     try:
         pickle.dumps(fn)
     except Exception:
         # Closures, lambdas, locally-defined callables: stay serial.
-        return _eval_items(fn, items, on_error)
+        return [fn(item) for item in items]
     pool = _get_pool(jobs)
     if pool is None:
-        return _eval_items(fn, items, on_error)
+        return [fn(item) for item in items]
     retry_counter, timeout_counter, restart_counter = _executor_counters()
 
+    from repro.obs.snapshot import merge_worker_snapshot
+    from repro.obs.tracing import get_tracer
+
+    region_start_s = get_tracer().now_s()
     chunks = shard(items, jobs * _SHARDS_PER_WORKER)
-    merge_from = None
-    if merge_obs:
-        from repro.obs.snapshot import merge_worker_snapshot
-        from repro.obs.tracing import get_tracer
-
-        merge_from = merge_worker_snapshot
-        region_start_s = get_tracer().now_s()
-
-    bases = []
-    next_base = 0
-    for chunk in chunks:
-        bases.append(next_base)
-        next_base += len(chunk)
-    pending = [pool.apply_async(_run_chunk, ((fn, chunk, merge_obs),))
+    pending = [pool.apply_async(_run_chunk, ((fn, chunk),))
                for chunk in chunks]
     results: List[list] = [None] * len(chunks)
     for index, chunk in enumerate(chunks):
@@ -345,8 +290,7 @@ def parallel_map(
                 pool = _get_pool(jobs)
                 if pool is None:
                     break
-                handle = pool.apply_async(
-                    _run_chunk, ((fn, chunk, merge_obs),))
+                handle = pool.apply_async(_run_chunk, ((fn, chunk),))
             try:
                 outcome = handle.get(timeout_s)
                 break
@@ -363,16 +307,13 @@ def parallel_map(
         if outcome is None:
             # Retries exhausted (or the pool died): evaluate this shard
             # in-process.  A deterministic exception in fn surfaces
-            # here with its natural traceback (or as ParallelFailure
-            # placeholders under on_error="return"); telemetry lands
-            # directly on the live surfaces.
-            results[index] = _eval_items(fn, chunk, on_error,
-                                         base=bases[index])
+            # here with its natural traceback; telemetry lands directly
+            # on the live surfaces.
+            results[index] = [fn(item) for item in chunk]
             continue
         chunk_results, obs_snapshot = outcome
-        if merge_from is not None and obs_snapshot is not None:
-            merge_from(obs_snapshot, offset_s=region_start_s,
-                       extra_args={"shard": index})
+        merge_worker_snapshot(obs_snapshot, offset_s=region_start_s,
+                              extra_args={"shard": index})
         results[index] = chunk_results
     return [value for chunk_results in results for value in chunk_results]
 

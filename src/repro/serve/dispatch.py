@@ -28,10 +28,9 @@ latency in the model — retries are counted, not slept.
 
 from __future__ import annotations
 
-import functools
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from repro.gpu.timing import TimingBreakdown, TimingModel
 from repro.kernels import BackendRegistry, default_registry
 from repro.obs.metrics import Registry
 from repro.obs.tracing import Tracer
-from repro.parallel import parallel_map, resolve_jobs
 from repro.serve.plan_cache import PlanCache
 from repro.serve.request import ConvRequest, plan_key
 
@@ -81,29 +79,6 @@ class KernelPlan:
         return self.launch_s + self.busy_s * batch_size
 
 
-def _serve_request(
-    executor: str, kernel, naive, request: ConvRequest
-) -> Tuple[np.ndarray, bool]:
-    """Serve one request; module-level so batch fan-out can pickle it.
-
-    Returns (output, fell_back).  The kernel path degrades to the naive
-    backend when the planned kernel's functional execution raises.
-    """
-    problem = request.problem
-    if executor == "reference":
-        return conv2d_reference(
-            request.image, request.filters, problem.padding, problem=problem
-        ), False
-    try:
-        return kernel.run(
-            request.image, request.filters, problem.padding, problem=problem
-        ), False
-    except Exception:
-        return naive.run(
-            request.image, request.filters, problem.padding, problem=problem
-        ), True
-
-
 class Dispatcher:
     """Route requests to the cheapest predicted backend, with fallback."""
 
@@ -115,7 +90,6 @@ class Dispatcher:
         backends: Optional[Sequence[str]] = None,
         registry: Optional[Registry] = None,
         tracer: Optional[Tracer] = None,
-        jobs: Optional[Union[int, str]] = None,
         kernels: Optional[BackendRegistry] = None,
         chaos=None,
         plan_retries: int = 2,
@@ -129,9 +103,6 @@ class Dispatcher:
                 "unknown backends %s; registered backends: %s"
                 % (sorted(unknown), ", ".join(sorted(self.kernels.names()))))
         self.arch = arch
-        # Worker degree for per-request batch execution; None honors
-        # the REPRO_JOBS environment variable at execute time.
-        self.jobs = jobs
         self.cache = cache if cache is not None else PlanCache(
             registry=registry)
         self.model = model or TimingModel(arch)
@@ -282,27 +253,31 @@ class Dispatcher:
         """
         if executor not in ("reference", "kernel"):
             raise ReproError("unknown executor %r" % executor)
-        return _serve_request(executor, plan.kernel, self._naive, request)
+        problem = request.problem
+        if executor == "reference":
+            return conv2d_reference(
+                request.image, request.filters, problem.padding,
+                problem=problem), False
+        try:
+            return plan.kernel.run(
+                request.image, request.filters, problem.padding,
+                problem=problem), False
+        except Exception:
+            return self._naive.run(
+                request.image, request.filters, problem.padding,
+                problem=problem), True
 
     def execute(
         self,
         plan: KernelPlan,
         requests: Sequence[ConvRequest],
         executor: str = "reference",
-        jobs: Optional[Union[int, str]] = None,
     ) -> Tuple[List[np.ndarray], List[bool], float]:
         """Serve a same-shape batch under one plan.
 
         Returns (outputs, fallback flags, modeled batch seconds).  The
         batch is one modeled launch of the planned backend; requests that
         fell back are re-priced as a second, naive launch.
-
-        ``jobs`` (falling back to the dispatcher's degree, then the
-        ``REPRO_JOBS`` environment variable) fans the per-request
-        functional execution out over worker processes; outputs, flags,
-        and accounting are identical to the serial path.  Fallback
-        counting stays in this process, so the dispatcher's registry
-        series are complete regardless of degree.
         """
         if executor not in ("reference", "kernel"):
             raise ReproError("unknown executor %r" % executor)
@@ -314,14 +289,8 @@ class Dispatcher:
         else:
             span = nullcontext({})
         with span as span_args:
-            degree = resolve_jobs(jobs if jobs is not None else self.jobs)
-            if degree <= 1 or len(requests) < 2:
-                pairs = [self.run_one(plan, request, executor)
-                         for request in requests]
-            else:
-                serve = functools.partial(
-                    _serve_request, executor, plan.kernel, self._naive)
-                pairs = parallel_map(serve, requests, jobs=degree)
+            pairs = [self.run_one(plan, request, executor)
+                     for request in requests]
             outputs = [out for out, _ in pairs]
             fell = [fb for _, fb in pairs]
             n_fallback = sum(fell)

@@ -60,7 +60,6 @@ class ServeEngine:
         dispatcher: Optional[Dispatcher] = None,
         registry: Optional[Registry] = None,
         tracer: Optional[Tracer] = None,
-        jobs=None,
     ):
         if executor not in ("reference", "kernel"):
             raise ReproError("executor must be 'reference' or 'kernel'")
@@ -75,13 +74,9 @@ class ServeEngine:
         self.batcher = DynamicBatcher(
             deadline_s=deadline_s, max_batch=max_batch,
             registry=self.registry)
-        # `jobs` is the batch-execution fan-out degree (see
-        # repro.parallel); it only applies to the dispatcher the engine
-        # builds itself — an injected dispatcher keeps its own degree.
         self.dispatcher = dispatcher or Dispatcher(
             arch, cache=PlanCache(cache_capacity, registry=self.registry),
             backends=backends, registry=self.registry, tracer=tracer,
-            jobs=jobs,
         )
         self._stats = ServeStats(clock_hz=arch.clock_hz,
                                  registry=self.registry)

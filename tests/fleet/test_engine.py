@@ -64,20 +64,46 @@ class TestDeterminism:
             assert got.backend == want.backend
             assert np.array_equal(got.output, want.output)
 
-    def test_jobs_degree_does_not_change_results(self):
-        a = fleet(replicas=3, jobs=1).serve_trace(trace(80))
-        b = fleet(replicas=3, jobs=2).serve_trace(trace(80))
-        for x, y in zip(a.responses, b.responses):
-            assert x.backend == y.backend
-            assert np.array_equal(x.output, y.output)
-        assert a.assignments == b.assignments
-
     def test_replay_is_reproducible(self):
         a = fleet(replicas=4).serve_trace(trace(60))
         b = fleet(replicas=4).serve_trace(trace(60))
         assert a.assignments == b.assignments
         for x, y in zip(a.responses, b.responses):
             assert np.array_equal(x.output, y.output)
+
+
+class TestSingleProcess:
+    """Serving runs in this process: REPRO_JOBS only fans out sweeps."""
+
+    def test_replays_never_start_a_process_pool(self, monkeypatch):
+        import repro.parallel.executor as executor
+
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        want = ServeEngine().serve_trace(trace(60))
+
+        def refuse(jobs):
+            raise AssertionError("serving started a process pool")
+
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        monkeypatch.setattr(executor, "_get_pool", refuse)
+        engine_responses = ServeEngine().serve_trace(trace(60))
+        fleet_responses = fleet(replicas=3).serve_trace(trace(60)).responses
+        for got in (engine_responses, fleet_responses):
+            assert len(got) == len(want)
+            for x, y in zip(got, want):
+                assert x.req_id == y.req_id
+                assert x.backend == y.backend
+                assert np.array_equal(x.output, y.output)
+
+    def test_shard_exception_propagates(self, monkeypatch):
+        import repro.fleet.engine as fleet_engine
+
+        def explode(payload):
+            raise RuntimeError("replica bug")
+
+        monkeypatch.setattr(fleet_engine, "_serve_replica_shard", explode)
+        with pytest.raises(RuntimeError, match="replica bug"):
+            fleet(replicas=2).serve_trace(trace(20))
 
 
 class TestRoutingAndShedding:

@@ -154,6 +154,9 @@ class TestErrorParity:
         oracle = self._error(InterpretedGeneralKernel(config=cfg), img, flt)
         assert fast == oracle
         assert fast[0] is ConfigurationError
+        assert fast[1] == (
+            "the audit kernel needs F % FTB == 0 and C % CSH == 0; "
+            "got F=9, FTB=8, C=1, CSH=1")
 
     def test_fermi_register_pressure_rejected_identically(self):
         # The Kepler-tuned default exceeds Fermi's 63-register limit;

@@ -10,7 +10,6 @@ from repro.errors import ParallelError
 from repro.obs.metrics import get_registry, reset_registry
 from repro.parallel import (
     JOBS_ENV_VAR,
-    ParallelFailure,
     parallel_map,
     resolve_jobs,
     shard,
@@ -181,30 +180,6 @@ class TestParallelMap:
             parallel_map(square, [1, 2], jobs=2, retries=-1)
         with pytest.raises(ParallelError):
             parallel_map(square, [1, 2], jobs=2, timeout_s=0.0)
-
-
-class TestStructuredFailures:
-    def test_on_error_return_yields_placeholders_in_position(self):
-        out = parallel_map(fail_on_negative, [1, -2, 3, -4], jobs=1,
-                           on_error="return")
-        assert out[0] == 1 and out[2] == 9
-        assert isinstance(out[1], ParallelFailure)
-        assert out[1].index == 1
-        assert out[1].exc_type == "ValueError"
-        assert "negative input -2" in out[1].error
-
-    def test_parallel_indices_are_global_not_chunk_local(self):
-        items = [1, 2, 3, -4, 5, -6, 7, 8]
-        out = parallel_map(fail_on_negative, items, jobs=3,
-                           retries=0, backoff_s=0.0, on_error="return")
-        failed = [r.index for r in out if isinstance(r, ParallelFailure)]
-        assert failed == [3, 5]
-        assert [r for r in out if not isinstance(r, ParallelFailure)] == [
-            1, 4, 9, 25, 49, 64]
-
-    def test_on_error_validated(self):
-        with pytest.raises(ParallelError, match="on_error"):
-            parallel_map(square, [1], on_error="ignore")
 
 
 class TestExecutorCounters:

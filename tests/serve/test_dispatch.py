@@ -24,11 +24,7 @@ def make_request(problem, req_id=0):
 
 
 class FlakyMarkerKernel:
-    """Fails exactly on requests whose image carries the POISON marker.
-
-    Module-level (hence picklable) so the mixed-batch accounting test
-    behaves the same whether ``execute`` runs serially or fans out.
-    """
+    """Fails exactly on requests whose image carries the POISON marker."""
 
     name = "flaky"
 
@@ -165,16 +161,13 @@ class TestExecution:
             return real(p, request, executor="reference")
 
         monkeypatch.setattr(dispatcher, "run_one", flaky)
-        # jobs=1 pins the serial path: the fan-out path serves requests
-        # in worker processes and cannot see this monkeypatched hook.
-        _, fell, seconds = dispatcher.execute(plan, requests, jobs=1)
+        _, fell, seconds = dispatcher.execute(plan, requests)
         assert fell == [False, False, True, False]
         naive = dispatcher.fallback_plan(GENERAL)
         assert seconds == pytest.approx(
             plan.batch_seconds(3) + naive.batch_seconds(1))
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_mixed_batch_fallback_accounting(self, jobs):
+    def test_mixed_batch_fallback_accounting(self):
         """dispatch_fallbacks_total and the naive surcharge must both
         equal the number of requests that actually fell back."""
         dispatcher = Dispatcher()
@@ -188,7 +181,7 @@ class TestExecution:
             config=plan.config,
         )
         outputs, fell, seconds = dispatcher.execute(
-            flaky_plan, requests, executor="kernel", jobs=jobs)
+            flaky_plan, requests, executor="kernel")
         assert fell == [False, True, False, True, False]
         # Counter and pricing agree with the per-request flags.
         fallbacks = dispatcher.registry.get("dispatch_fallbacks_total")

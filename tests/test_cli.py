@@ -287,10 +287,17 @@ class TestJobsFlag:
         assert main(["run", "fig7a", "--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
 
-    def test_serve_accepts_jobs(self, capsys):
-        assert main(["serve", "--synthetic", "8", "--jobs", "2",
-                     "--verify"]) == 0
-        assert "served 8 requests" in capsys.readouterr().out
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--synthetic", "8"],
+        ["chaos"],
+        ["obs"],
+    ], ids=["serve", "chaos", "obs"])
+    def test_serving_commands_reject_jobs(self, argv, capsys):
+        # Serving runs in one process; --jobs only fans out sweeps.
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--jobs", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_jobs_auto(self, capsys):
         assert main(["run", "fig1", "--jobs", "auto"]) == 0
