@@ -27,8 +27,10 @@ The modeled (virtual-clock) numbers are deterministic; only the
 import argparse
 import hashlib
 import json
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -36,23 +38,36 @@ from repro import __version__
 from repro.fleet import FleetConfig, FleetEngine
 from repro.serve import ServeEngine, synthetic_trace
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _git(*args):
+    """Stdout of one git command run at the repo root, or None."""
+    try:
+        proc = subprocess.run(["git", *args], cwd=REPO_ROOT,
+                              capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
 
 def leg_meta():
-    """Provenance stamp for one leg: schema, version, git sha, python.
+    """Provenance stamp for one leg: version, tree, python, time.
 
-    ``repro perf report`` ingests these numbers as a trajectory point
-    (:func:`repro.obs.perf.trajectory.normalize_bench_serve`); the stamp
-    is what lets that ingestion carry real provenance instead of a
-    backfilled guess.
+    ``git_sha`` is the full ``HEAD`` sha and ``dirty`` says whether the
+    working tree had uncommitted changes when the numbers were taken;
+    both are None unless the repo root is itself a git checkout.
     """
     import platform
 
-    from repro.obs.perf.trajectory import SCHEMA_VERSION, _git_sha
-
+    top = _git("rev-parse", "--show-toplevel")
+    sha = _git("rev-parse", "HEAD") \
+        if top and Path(top).resolve() == REPO_ROOT else None
+    status = _git("status", "--porcelain") if sha else None
     return {
-        "schema_version": SCHEMA_VERSION,
         "version": __version__,
-        "git_sha": _git_sha(),
+        "git_sha": sha,
+        "dirty": None if status is None else bool(status),
         "python": platform.python_version(),
         "recorded_unix": round(time.time(), 3),
     }

@@ -24,7 +24,6 @@ from repro.errors import ConfigurationError, LaunchConfigError, ResourceError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40M
 from repro.gpu.timing import TimingModel
 from repro.obs.metrics import get_registry
-from repro.obs.perf.profiler import maybe_profile
 from repro.obs.tracing import get_tracer
 from repro.parallel import parallel_map
 
@@ -167,10 +166,7 @@ def _rank(configs, problem, arch, case: str = "general",
     serial path produces — rankings are bit-identical for any ``jobs``.
     """
     evaluate = functools.partial(_evaluate_candidate, case, arch, problem)
-    # Opt-in sampling (REPRO_PROFILE=1): the candidate loop is the hot
-    # planning path; the profiler shows which Python frames dominate it.
-    with maybe_profile("dse.rank"):
-        results = parallel_map(evaluate, configs, jobs=jobs)
+    results = parallel_map(evaluate, configs, jobs=jobs)
     ranked = [r for r in results if r is not None]
     ranked.sort(key=lambda r: r.gflops, reverse=True)
     return ranked

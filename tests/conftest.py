@@ -1,16 +1,9 @@
 """Shared fixtures for the repro test suite."""
 
-import pathlib
-
 import numpy as np
 import pytest
 
 from repro.gpu.arch import FERMI_M2090, KEPLER_K40M, MAXWELL_GM204
-
-
-@pytest.fixture
-def repo_root():
-    return pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture

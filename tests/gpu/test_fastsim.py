@@ -192,6 +192,26 @@ class TestAuditMachinery:
         assert out.shape == (2, 8, 64)
         assert cost.ledger.flops > 0
 
+    def test_env_audit_passes_on_the_ci_smoke_input(self, monkeypatch):
+        # The same 34x66, F=4 input the CI fastsim audit step runs:
+        # REPRO_AUDIT=1 alone must engage the oracle and pass.
+        calls = []
+        oracle_run = InterpretedSpecialKernel.run_traced
+
+        def spy(self, *args):
+            calls.append(args)
+            return oracle_run(self, *args)
+
+        monkeypatch.setattr(InterpretedSpecialKernel, "run_traced", spy)
+        monkeypatch.setenv(AUDIT_ENV, "1")
+        rng = np.random.default_rng(3)
+        img = rng.standard_normal((34, 66)).astype(np.float32)
+        flt = rng.standard_normal((4, 3, 3)).astype(np.float32)
+        out, cost = FastSpecialKernel().run_traced(img, flt)
+        assert out.shape == (4, 32, 64)
+        assert cost.launch.grid.count == 8
+        assert len(calls) == 1
+
     def test_injected_ledger_skew_trips_audit(self, monkeypatch):
         # Force the fast path to lie about one counter: the audit must
         # refuse to return a result rather than report it quietly.

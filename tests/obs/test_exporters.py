@@ -47,6 +47,13 @@ class TestChromeTrace:
         doc = chrome_trace(_sample_tracer(), _sample_registry())
         validate_chrome_trace(doc)
 
+    def test_other_data_carries_only_producer_drops_and_metrics(self):
+        assert set(chrome_trace(_sample_tracer())["otherData"]) == {
+            "producer", "dropped_spans"}
+        doc = chrome_trace(_sample_tracer(), _sample_registry())
+        assert set(doc["otherData"]) == {
+            "producer", "dropped_spans", "metrics"}
+
     def test_tracks_split_by_clock(self):
         doc = chrome_trace(_sample_tracer())
         events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
