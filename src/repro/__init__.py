@@ -59,7 +59,7 @@ from repro.serve.plan_cache import PlanCache
 from repro.serve.trace import synthetic_trace
 from repro.obs import Registry, Tracer, instrument
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "ConvProblem",

@@ -1,20 +1,17 @@
 """Reference convolution implementations.
 
-These are the golden models every kernel in :mod:`repro.core` and
-:mod:`repro.baselines` is verified against.  Like the paper (and the
-deep-learning libraries it compares with), "convolution" here means
-cross-correlation: filters are not flipped.
+These are the golden models every kernel is verified against.  As in
+the paper, "convolution" is cross-correlation: filters are not flipped.
 
-The implementation is a tap-loop over (dy, dx) with a ``tensordot``
-across channels, which is exact, simple to audit, and fast enough to act
-as a golden model for multi-megapixel tests.  It handles every problem
-axis — stride, dilation, groups, and both layouts — and at the default
-axes it reduces to the historical dense path operation-for-operation.
+:func:`conv2d_reference` makes one float32 ``matmul`` per tap ``(dy,
+dx)`` with groups as the batch axis (a ``multiply`` at one channel per
+group).  Its bytes are a contract: per-tap float32 products accumulate
+in float64 from +0.0 in ``(dy, dx)`` order, and operands reach BLAS as
+``np.dot`` passes them (taps and other vectors as strided views,
+matrices in C order), since the BLAS route changes the rounding.
 
-:func:`conv2d_oracle` is the deliberately-naive seven-loop scalar model
-(filters, rows, cols, channels, taps) the generalized reference is
-property-tested against; it shares no vectorized slicing with the
-reference, so an indexing mistake in one cannot hide in the other.
+:func:`conv2d_oracle` is the naive seven-loop scalar model the reference
+is property-tested against; it shares no vectorized slicing with it.
 """
 
 from __future__ import annotations
@@ -94,21 +91,24 @@ def conv2d_reference(
     oh, ow = problem.out_height, problem.out_width
     cpg, fpg = problem.channels_per_group, problem.filters_per_group
     out = np.zeros((problem.filters, oh, ow), dtype=np.float64)
+    buf = np.empty((g, fpg, oh * ow), dtype=np.float32)
     for dy in range(k):
         for dx in range(k):
             window = img[:,
                          dy * d : dy * d + (oh - 1) * s + 1 : s,
                          dx * d : dx * d + (ow - 1) * s + 1 : s]
-            taps = flt[:, :, dy, dx]
-            if g == 1:
-                out += np.tensordot(taps, window, axes=([1], [0]))
+            window = window.reshape(g, cpg, oh * ow)
+            taps = flt[:, :, dy, dx].reshape(g, fpg, cpg)
+            if cpg == 1:
+                np.multiply(taps, window, out=buf)
             else:
-                for gi in range(g):
-                    out[gi * fpg : (gi + 1) * fpg] += np.tensordot(
-                        taps[gi * fpg : (gi + 1) * fpg],
-                        window[gi * cpg : (gi + 1) * cpg],
-                        axes=([1], [0]),
-                    )
+                # np.dot's BLAS route: matrices in C order, vectors strided.
+                if fpg > 1:
+                    taps = np.ascontiguousarray(taps)
+                if oh * ow > 1:
+                    window = np.ascontiguousarray(window)
+                np.matmul(taps, window, out=buf)
+            out += buf.reshape(out.shape)
     return problem.layout_output(out.astype(np.float32))
 
 
